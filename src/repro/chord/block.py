@@ -21,8 +21,11 @@ Bit-exactness contract: :meth:`ChordNodeBlock.key_parents` reproduces
 rule, including the balanced scheme's float-estimated ``d0`` path through
 :class:`~repro.core.limiting.FingerLimiter.for_gap` — for every node,
 asserted in ``tests/unit/test_block.py`` and the protocol property suite.
-(The root-addressed kernel in :mod:`repro.chord.fastbuild` is a different
-rule: it measures eligibility against the root, not the key.)
+It runs the same parent kernel as the analytical pipeline,
+:func:`repro.chord.fastbuild._best_parent_slots`: one rule evaluated at
+two targets. The analytical pipeline measures eligibility against the
+root ``successor(key)``, the protocol against the key itself; only the
+key-addressed form needs the successor fallback below.
 """
 
 from __future__ import annotations
@@ -33,16 +36,15 @@ import numpy as np
 
 from repro.chord.fastbuild import (
     FAST_PATH_MAX_BITS,
-    _cw,
-    _vectorized_ceil_log2,
+    _best_parent_slots,
     fast_finger_matrix,
 )
+from repro.chord.fingers import closest_preceding_finger
 from repro.chord.idspace import IdSpace
 from repro.chord.ring import StaticRing
-from repro.core.limiting import FingerLimiter
 from repro.errors import IdentifierError, TreeError
 
-__all__ = ["ChordNodeBlock", "MatrixFingerView", "balanced_limits"]
+__all__ = ["ChordNodeBlock", "MatrixFingerView"]
 
 
 class MatrixFingerView:
@@ -75,59 +77,18 @@ class MatrixFingerView:
     def closest_preceding(self, key: int, max_slot: int | None = None) -> int | None:
         """Finger that most closely precedes-or-reaches ``key`` from ``owner``.
 
-        Same scan as :meth:`FingerTable.closest_preceding`: highest slot
-        whose finger does not overshoot ``cw(owner, key)``, restricted to
-        ``0..max_slot`` for the balanced scheme.
+        Same scan as :meth:`FingerTable.closest_preceding`, see
+        :func:`~repro.chord.fingers.closest_preceding_finger`.
         """
-        space = self.space
-        target_distance = space.cw(self.owner, key)
-        if target_distance == 0:
-            return None
-        top = space.bits - 1 if max_slot is None else min(max_slot, space.bits - 1)
-        entries = self._row.tolist()
-        for j in range(top, -1, -1):
-            node = entries[j]
-            if node == self.owner:
-                continue
-            if space.cw(self.owner, node) <= target_distance:
-                return node
-        return None
+        return closest_preceding_finger(
+            self.space, self.owner, self._row.tolist(), key, max_slot
+        )
 
     def __len__(self) -> int:
         return len(self._row)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"MatrixFingerView(owner={self.owner})"
-
-
-def balanced_limits(x: np.ndarray, d0: float | Fraction) -> np.ndarray:
-    """``g(x)`` for an array of distances, exactly.
-
-    Vectorizes :func:`repro.core.limiting.finger_limit`: with
-    ``d0 = p/q``, the limit is ``ceil_log2(max(ceil((x*q + 2p)/(3q)), 1))``.
-    The integer path runs whenever the numerators provably fit in int64
-    and the ceilings stay inside float64's exact range (always true for the
-    power-of-two populations the scale benchmarks use, where ``q == 1``);
-    otherwise each element goes through the scalar
-    :class:`~repro.core.limiting.FingerLimiter`, trading speed for the
-    same exact answers.
-    """
-    gap = d0 if isinstance(d0, Fraction) else Fraction(d0).limit_denominator(10**12)
-    if gap <= 0:
-        raise ValueError(f"d0 must be positive, got {d0}")
-    x = np.asarray(x, dtype=np.int64)
-    p, q = gap.numerator, gap.denominator
-    x_max = int(x.max()) if x.size else 0
-    if x_max * q + 2 * p < 2**62:
-        numerator = x * np.int64(q) + np.int64(2 * p)
-        m = np.maximum(-((-numerator) // np.int64(3 * q)), np.int64(1))
-        m_max = int(m.max()) if m.size else 0
-        if m_max < 2**53:
-            return _vectorized_ceil_log2(m)
-    limiter = FingerLimiter(d0=gap)
-    return np.fromiter(
-        (limiter(xi) for xi in x.tolist()), dtype=np.int64, count=x.size
-    )
 
 
 class ChordNodeBlock:
@@ -206,24 +167,18 @@ class ChordNodeBlock:
         own successor-ward parent too, exactly like the scalar rule, and
         callers exclude it because the owner finalizes instead of pushing).
 
-        ``d0`` defaults to the overlay's estimate ``space.size / n`` —
-        passed through :class:`FingerLimiter.for_gap` float conversion so
-        balanced limits match ``DatNodeService`` bit-for-bit.
+        ``d0`` defaults to the exact mean gap ``Fraction(space.size, n)``.
+        The overlay's float estimate ``space.size / n`` gives the same
+        limits (proof in :mod:`repro.core.limiting`), so balanced parents
+        match ``DatNodeService`` bit-for-bit either way.
         """
         if scheme not in ("basic", "balanced"):
             raise ValueError(f"unknown scheme {scheme!r}")
-        space = self.space
-        mask = space.max_id
         n = len(self)
-        x = _cw(mask, self.ids, np.broadcast_to(np.int64(key), self.ids.shape))
-        finger_dist = _cw(mask, self.ids[:, np.newaxis], self.matrix)
-        eligible = (finger_dist > 0) & (finger_dist <= x[:, np.newaxis])
-        slots = np.arange(space.bits, dtype=np.int64)[np.newaxis, :]
+        gap: float | Fraction | None = None
         if scheme == "balanced":
-            gap = space.size / n if d0 is None else d0
-            limits = balanced_limits(x, gap)
-            eligible &= slots <= limits[:, np.newaxis]
-        best = np.where(eligible, slots, np.int64(-1)).max(axis=1)
+            gap = Fraction(self.space.size, n) if d0 is None else d0
+        best = _best_parent_slots(self.ids, self.matrix, key, self.space, gap)
         parents = self.matrix[np.arange(n), np.maximum(best, 0)].copy()
         # No eligible finger: fall back to the successor (the owner's
         # predecessor lands here), or no parent at all on a lone ring.

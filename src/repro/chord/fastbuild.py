@@ -7,33 +7,33 @@ to tens of milliseconds). Equivalence against the scalar path is asserted
 test-for-test in ``tests/unit/test_fastbuild.py`` — if the two ever
 disagree, the scalar path wins.
 
-Restrictions: identifier width ``bits <= 48`` so that the exact integer
-``ceil(log2(.))`` trick below stays within float64's 2^53 exact-integer
-range. Wider spaces silently fall back to the scalar builders via
-:func:`build_dat_fast`.
+Restrictions: identifier width ``bits <= 48`` so that the balanced limit
+:func:`~repro.core.limiting.finger_limits` stays within its exact int64 /
+float64 range (``x + c + 2 < 2^50``). Wider spaces fall back to the scalar
+builders via :func:`build_dat_fast`.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 from repro import telemetry
+from repro.chord.idspace import IdSpace
 from repro.chord.ring import StaticRing
 from repro.core.builder import build_dat
 from repro.core.builder import DatScheme
+from repro.core.limiting import finger_limits
 from repro.core.tree import DatTree, TreeStats
 from repro.errors import TreeError
-from repro.util.bits import ceil_div
 
 __all__ = [
     "FAST_PATH_MAX_BITS",
     "DatTreeArrays",
     "fast_finger_matrix",
-    "fast_basic_parents",
-    "fast_balanced_parents",
     "fast_tree_arrays",
     "fast_tree_stats",
-    "fast_tree_height",
     "fast_centralized_load_array",
     "build_dat_fast",
 ]
@@ -91,123 +91,37 @@ def _cw(space_mask: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (b - a) & np.int64(space_mask)
 
 
-def _vectorized_ceil_log2(values: np.ndarray) -> np.ndarray:
-    """Exact ``ceil(log2(v))`` for positive int64 values < 2^53.
-
-    ``frexp`` decomposes ``v = m * 2^e`` with ``m`` in [0.5, 1); the
-    decomposition is exact for integers below 2^53, so
-    ``ceil(log2(v)) = e - 1`` when ``v`` is a power of two (m == 0.5) and
-    ``e`` otherwise — no floating-point rounding anywhere.
-    """
-    mantissa, exponent = np.frexp(values.astype(np.float64))
-    result = exponent.astype(np.int64)
-    # frexp mantissae are exact binary fractions, so 0.5 is representable
-    # and the power-of-two test is safe as an exact comparison.
-    result[mantissa == 0.5] -= 1  # datlint: disable=DAT003
-    return np.maximum(result, 0)
-
-
-def _parents_from_best(
-    nodes: np.ndarray, fingers: np.ndarray, best: np.ndarray, root: int
-) -> dict[int, int]:
-    """Assemble the parent dict from per-node best slots, branch-free.
-
-    The root row is masked out with array ops and the (node, parent) pairs
-    are materialized through two ``tolist()`` calls — no per-node Python
-    conditional in the hot loop.
-    """
-    mask = nodes != np.int64(root)
-    best_masked = best[mask]
-    if best_masked.size and int(best_masked.min()) < 0:
-        bad = nodes[mask][best_masked < 0]
-        raise TreeError(f"node {int(bad[0])} has no eligible finger toward {root}")
-    chosen = fingers[np.nonzero(mask)[0], best_masked]
-    return dict(zip(nodes[mask].tolist(), chosen.tolist()))
-
-
 def _best_parent_slots(
-    ring: StaticRing,
-    key: int,
-    scheme: DatScheme,
-    matrix: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Per-node best finger slot under ``scheme`` — the shared kernel.
+    ids: np.ndarray,
+    fingers: np.ndarray,
+    target: int,
+    space: IdSpace,
+    d0: Fraction | float | None,
+) -> np.ndarray:
+    """Per-node best finger slot toward ``target`` — the one parent kernel.
 
-    Returns ``(nodes, fingers, best, root)`` where ``best[i]`` is the
-    highest eligible slot of node ``i`` (-1 when none is, which is legal
-    only for the root row). The highest eligible slot is the farthest
+    ``best[i]`` is the highest slot of row ``i`` of ``fingers`` whose finger
+    does not overshoot ``cw(ids[i], target)`` and, when ``d0`` is given
+    (balanced scheme), lies within the limit ``g(x)`` of
+    :func:`~repro.core.limiting.finger_limits` at that distance; ``-1``
+    where no slot qualifies. The highest eligible slot is the farthest
     non-overshooting finger — exactly the scalar parent rule — because
     finger distance is monotone in the slot index.
+
+    One rule, two targets: the analytical pipeline passes the root
+    ``successor(key)`` (:func:`fast_tree_arrays`), the protocol passes the
+    key itself (:meth:`~repro.chord.block.ChordNodeBlock.key_parents`).
+    With the root as target, slot 0 (the successor) qualifies for every
+    non-root node, so only the root row is ``-1``.
     """
-    _require_fast_capable(ring)
-    space = ring.space
     mask = space.max_id
-    nodes = ring.id_index().ids
-    root = np.int64(ring.successor(key))
-    fingers = _resolve_matrix(ring, matrix)
-
-    finger_dist = _cw(mask, nodes[:, np.newaxis], fingers)
-    x = _cw(mask, nodes, np.broadcast_to(root, nodes.shape))
-
-    eligible = (finger_dist <= x[:, np.newaxis]) & (finger_dist > 0)
+    x = _cw(mask, ids, np.broadcast_to(np.int64(target), ids.shape))
+    finger_dist = _cw(mask, ids[:, np.newaxis], fingers)
+    eligible = (finger_dist > 0) & (finger_dist <= x[:, np.newaxis])
     slots = np.arange(space.bits, dtype=np.int64)[np.newaxis, :]
-    if scheme is DatScheme.BALANCED:
-        q = np.maximum(_exact_ceil_q(x, len(ring), space.size), 1)
-        limits = _vectorized_ceil_log2(q)
-        eligible &= slots <= limits[:, np.newaxis]
-    slot_index = np.where(eligible, slots, -1)
-    best = slot_index.max(axis=1)
-    return nodes, fingers, best, int(root)
-
-
-def fast_basic_parents(
-    ring: StaticRing, key: int, matrix: np.ndarray | None = None
-) -> dict[int, int]:
-    """Basic-DAT parent map, vectorized; equals the scalar builder's.
-
-    ``matrix`` optionally supplies a precomputed :func:`fast_finger_matrix`
-    shared across rendezvous keys.
-    """
-    nodes, fingers, best, root = _best_parent_slots(
-        ring, key, DatScheme.BASIC, matrix
-    )
-    return _parents_from_best(nodes, fingers, best, root)
-
-
-def _exact_ceil_q(x: np.ndarray, n: int, size: int) -> np.ndarray:
-    """Exact ``q = ceil((x*n + 2*size) / (3*n))`` as an int64 array.
-
-    Vectorized when ``max(x)*n + 2*size`` provably fits in int64; otherwise
-    (possible only for spaces near the 48-bit fast-path limit combined with
-    very large rings) each element is computed with arbitrary-precision
-    Python integers, trading speed for exactness.
-    """
-    x_max = int(x.max()) if x.size else 0
-    if x_max * n + 2 * size < 2**63:
-        numerator = x * np.int64(n) + np.int64(2 * size)
-        return -((-numerator) // np.int64(3 * n))
-    return np.array(
-        [ceil_div(int(xi) * n + 2 * size, 3 * n) for xi in x], dtype=np.int64
-    )
-
-
-def fast_balanced_parents(
-    ring: StaticRing, key: int, matrix: np.ndarray | None = None
-) -> dict[int, int]:
-    """Balanced-DAT parent map (Algorithm 1), vectorized.
-
-    Uses the exact mean gap ``d0 = 2^bits / n`` like the scalar default.
-    The limit ``g(x) = ceil(log2((x + 2*d0)/3))`` is evaluated with pure
-    integer arithmetic: ``q = ceil((x*n + 2*2^bits) / (3n))`` then an exact
-    ``ceil(log2(q))``, matching
-    :func:`repro.core.limiting.finger_limit` bit-for-bit. ``matrix``
-    optionally supplies a precomputed :func:`fast_finger_matrix` shared
-    across rendezvous keys.
-    """
-    nodes, fingers, best, root = _best_parent_slots(
-        ring, key, DatScheme.BALANCED, matrix
-    )
-    return _parents_from_best(nodes, fingers, best, root)
+    if d0 is not None:
+        eligible &= slots <= finger_limits(x, d0)[:, np.newaxis]
+    return np.where(eligible, slots, np.int64(-1)).max(axis=1)
 
 
 class DatTreeArrays:
@@ -364,15 +278,22 @@ def fast_tree_arrays(
 ) -> DatTreeArrays:
     """Build a :class:`DatTreeArrays` snapshot — the array-native `build_dat`.
 
-    Same construction rule as :func:`fast_basic_parents` /
-    :func:`fast_balanced_parents` but the parent map never leaves index
-    space: no Python dict, no per-node boxing, O(n) int64 storage.
-    ``matrix`` optionally supplies a precomputed
-    :func:`fast_finger_matrix` shared across rendezvous keys.
+    Runs :func:`_best_parent_slots` toward the root ``successor(key)``; the
+    balanced scheme uses the exact mean gap ``Fraction(2^bits, n)`` like the
+    scalar default. The parent map never leaves index space: no Python
+    dict, no per-node boxing, O(n) int64 storage. ``matrix`` optionally
+    supplies a precomputed :func:`fast_finger_matrix` shared across
+    rendezvous keys.
     """
     scheme = DatScheme(scheme)
-    nodes, fingers, best, root = _best_parent_slots(ring, key, scheme, matrix)
+    _require_fast_capable(ring)
+    space = ring.space
+    nodes = ring.id_index().ids
+    fingers = _resolve_matrix(ring, matrix)
     n = int(nodes.size)
+    root = ring.successor(key)
+    d0 = Fraction(space.size, n) if scheme is DatScheme.BALANCED else None
+    best = _best_parent_slots(nodes, fingers, root, space, d0)
     root_index = int(np.searchsorted(nodes, np.int64(root)))
     bad = (best < 0) & (np.arange(n) != root_index)
     if bool(bad.any()):
@@ -438,37 +359,6 @@ def fast_centralized_load_array(
     return loads
 
 
-def fast_tree_height(parents: dict[int, int], root: int) -> int | None:
-    """Tree height by vectorized parent-pointer chasing.
-
-    The root's parent pointer is tied to itself (absorbing), so the height
-    is the first step count after which every chase has landed on the
-    root. Each step is one O(n) fancy-index; the loop runs ``height``
-    times (logarithmic for DAT trees). Returns ``None`` when the chase
-    cannot converge — a dangling parent or a cycle — so callers fall back
-    to :meth:`DatTree.height`'s validating BFS.
-    """
-    n_edges = len(parents)
-    if n_edges == 0:
-        return 0
-    children = np.fromiter(parents.keys(), dtype=np.int64, count=n_edges)
-    par = np.fromiter(parents.values(), dtype=np.int64, count=n_edges)
-    ids = np.sort(np.append(children, np.int64(root)))
-    guess = np.minimum(np.searchsorted(ids, par), ids.size - 1)
-    if not bool(np.array_equal(ids[guess], par)):
-        return None  # dangling parent id
-    par_ids = np.full(ids.shape, np.int64(root))
-    par_ids[np.searchsorted(ids, children)] = par
-    par_idx = np.searchsorted(ids, par_ids)
-    root_idx = int(np.searchsorted(ids, np.int64(root)))
-    cur = par_idx
-    for height in range(1, ids.size + 1):
-        if bool((cur == root_idx).all()):
-            return height
-        cur = par_idx[cur]
-    return None  # cycle
-
-
 def build_dat_fast(
     ring: StaticRing,
     key: int,
@@ -484,14 +374,13 @@ def build_dat_fast(
     scheme = DatScheme(scheme)
     if ring.space.bits > FAST_PATH_MAX_BITS or len(ring) <= 1:
         return build_dat(ring, key, scheme=scheme)
-    root = ring.successor(key)
-    if scheme is DatScheme.BASIC:
-        parents = fast_basic_parents(ring, key, matrix=matrix)
-    else:
-        parents = fast_balanced_parents(ring, key, matrix=matrix)
-    tree = DatTree(root=root, parent=parents, key=key)
-    # Seed the height cache from the vectorized chase so telemetry's
-    # per-build span attribute never triggers the Python BFS — the main
-    # enabled-mode cost on this hot path.
-    tree._height = fast_tree_height(parents, root)
+    arrays = fast_tree_arrays(ring, key, scheme=scheme, matrix=matrix)
+    nodes = arrays.nodes
+    keep = np.arange(nodes.size) != arrays.root_index
+    parents = dict(zip(nodes[keep].tolist(), nodes[arrays.parent_index[keep]].tolist()))
+    tree = DatTree(root=arrays.root, parent=parents, key=key)
+    # Seed the height cache from the array chase so telemetry's per-build
+    # span attribute never triggers the Python BFS — the main enabled-mode
+    # cost on this hot path.
+    tree._height = arrays.height()
     return tree

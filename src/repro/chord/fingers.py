@@ -10,12 +10,45 @@ shortcut child discovery; :class:`FingerTable` supports attaching that layer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
+from typing import Protocol, Sequence, runtime_checkable
 
 from repro.chord.idspace import IdSpace
 from repro.errors import IdentifierError
 
-__all__ = ["FingerLike", "FingerTable"]
+__all__ = ["FingerLike", "FingerTable", "closest_preceding_finger"]
+
+
+def closest_preceding_finger(
+    space: IdSpace,
+    owner: int,
+    entries: Sequence[int],
+    key: int,
+    max_slot: int | None = None,
+) -> int | None:
+    """Finger of ``entries`` that most closely precedes-or-reaches ``key``.
+
+    Scans slots from the largest eligible index downward and returns the
+    first finger ``f`` with ``cw(owner, f) <= cw(owner, key)`` — i.e. a
+    finger that does not overshoot the key. Returns ``None`` when every
+    finger overshoots (then the owner itself is the last hop before the
+    key's successor).
+
+    ``max_slot`` restricts the scan to slots ``0..max_slot`` — this is
+    exactly the hook the balanced routing scheme (paper Sec. 3.4) uses
+    to limit fingers to those at most ``2^{g(x)}`` away. Every
+    :class:`FingerLike` table answers ``closest_preceding`` with this scan.
+    """
+    target_distance = space.cw(owner, key)
+    if target_distance == 0:
+        return None
+    top = space.bits - 1 if max_slot is None else min(max_slot, space.bits - 1)
+    for j in range(top, -1, -1):
+        node = entries[j]
+        if node == owner:
+            continue
+        if space.cw(owner, node) <= target_distance:
+            return node
+    return None
 
 
 @runtime_checkable
@@ -129,28 +162,11 @@ class FingerTable:
     def closest_preceding(self, key: int, max_slot: int | None = None) -> int | None:
         """Finger that most closely precedes-or-reaches ``key`` from ``owner``.
 
-        Scans slots from the largest eligible index downward and returns the
-        first finger ``f`` with ``cw(owner, f) <= cw(owner, key)`` — i.e. a
-        finger that does not overshoot the key. Returns ``None`` when every
-        finger overshoots (then the owner itself is the last hop before the
-        key's successor).
-
-        ``max_slot`` restricts the scan to slots ``0..max_slot`` — this is
-        exactly the hook the balanced routing scheme (paper Sec. 3.4) uses
-        to limit fingers to those at most ``2^{g(x)}`` away.
+        See :func:`closest_preceding_finger`.
         """
-        space = self.space
-        target_distance = space.cw(self.owner, key)
-        if target_distance == 0:
-            return None
-        top = self.space.bits - 1 if max_slot is None else min(max_slot, space.bits - 1)
-        for j in range(top, -1, -1):
-            node = self.entries[j]
-            if node == self.owner:
-                continue
-            if space.cw(self.owner, node) <= target_distance:
-                return node
-        return None
+        return closest_preceding_finger(
+            self.space, self.owner, self.entries, key, max_slot
+        )
 
     def __len__(self) -> int:
         return len(self.entries)

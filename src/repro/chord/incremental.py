@@ -30,7 +30,8 @@ state and a rebuild ever disagree (``verify=True`` cross-checks every
 event), the rebuild wins and the divergence is traced.
 
 Why the balanced scheme needs the limit-shift set: ``g(x) <= j`` iff
-``x <= 3*2^j - c(n)`` where ``c(n) = ceil(2*2^bits / n)`` — every limiting
+``x <= 3*2^j - c(n)`` where ``c(n) = ceil(2*2^bits / n)`` is the offset of
+:func:`~repro.core.limiting.limit_offset` — every limiting
 threshold shifts by the *same* offset when ``n`` changes. The nodes whose
 ``g(x)`` flipped after an event therefore lie in at most ``bits - 1`` thin
 identifier intervals, enumerated with two bisects each.
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -53,10 +55,10 @@ from repro import telemetry
 from repro.chord.fingers import FingerTable
 from repro.chord.ring import StaticRing
 from repro.core.builder import DatScheme, build_dat
+from repro.core.limiting import FingerLimiter, limit_offset
 from repro.core.tree import DatTree
 from repro.errors import DuplicateNodeError, TreeError, UnknownNodeError
 from repro.sim.tracing import get_logger
-from repro.util.bits import ceil_div, ceil_log2
 
 __all__ = [
     "FingerPatch",
@@ -434,25 +436,22 @@ class RingMaintainer:
 
 
 def _limit_shift_members(
-    ring: StaticRing, root: int, n_before: int, n_after: int
+    ring: StaticRing, root: int, c_old: int, c_new: int
 ) -> list[int]:
     """Current members whose finger limit ``g(x)`` changed with ``n``.
 
-    ``g(x) <= j  iff  x <= 3*2^j - c(n)`` with ``c(n) = ceil(2*2^bits/n)``,
-    so a change of ``n`` shifts every threshold by ``c_old - c_new`` and the
+    ``g(x) <= j  iff  x <= 3*2^j - c(n)`` with ``c(n) = ceil(2*2^bits/n)``
+    (:func:`~repro.core.limiting.limit_offset` of the mean gap), so a
+    change of ``n`` shifts every threshold by ``c_old - c_new`` and the
     flipped nodes lie in the clockwise identifier intervals
     ``(3*2^j - c_hi, 3*2^j - c_lo]`` measured as distance-to-root. Only
     thresholds with ``j <= bits - 2`` can alter a parent choice (the
     eligible-slot cap is ``min(g(x), bits - 1)``).
     """
-    if n_before == n_after or n_before == 0 or n_after == 0:
+    if c_old == c_new:
         return []
     space = ring.space
     size = space.size
-    c_old = ceil_div(2 * size, n_before)
-    c_new = ceil_div(2 * size, n_after)
-    if c_old == c_new:
-        return []
     c_lo, c_hi = min(c_old, c_new), max(c_old, c_new)
     mask = size - 1
     nodes = ring.nodes
@@ -626,10 +625,22 @@ class DatUpdateEngine:
                 rebuilt.append(key)
                 reparented[key] = 0
             self._pending.clear()
+        # g(x) depends on n only through the offset c(n), so one limiter
+        # per event serves every tracked tree.
+        limiter: FingerLimiter | None = None
+        c_before = 0
+        if self.scheme is DatScheme.BALANCED and delta.n_after:
+            space = self.ring.space
+            limiter = FingerLimiter.for_ring(space.bits, delta.n_after)
+            c_before = (
+                limit_offset(Fraction(space.size, delta.n_before))
+                if delta.n_before
+                else limiter.offset
+            )
         for key, old_tree in list(self._trees.items()):
             if key in reparented:
                 continue  # just rematerialized from pending, already current
-            patched = self._patch_tree(key, old_tree, delta)
+            patched = self._patch_tree(key, old_tree, delta, limiter, c_before)
             if patched is None:
                 self._trees[key] = self.full_build(key)
                 rebuilt.append(key)
@@ -645,9 +656,18 @@ class DatUpdateEngine:
         )
 
     def _patch_tree(
-        self, key: int, old_tree: DatTree, delta: RingDelta
+        self,
+        key: int,
+        old_tree: DatTree,
+        delta: RingDelta,
+        limiter: FingerLimiter | None,
+        c_before: int,
     ) -> tuple[DatTree, int] | None:
-        """Patch one tree for a delta; ``None`` requests a full rebuild."""
+        """Patch one tree for a delta; ``None`` requests a full rebuild.
+
+        ``limiter`` is the balanced limit after the event (``None`` for the
+        basic scheme) and ``c_before`` its offset before the event.
+        """
         ring = self.ring
         if len(ring) == 0:
             return None
@@ -658,9 +678,9 @@ class DatUpdateEngine:
         affected = delta.touched_owners()
         if delta.is_join:
             affected.add(delta.ident)
-        if self.scheme is DatScheme.BALANCED:
+        if limiter is not None:
             affected.update(
-                _limit_shift_members(ring, new_root, delta.n_before, delta.n_after)
+                _limit_shift_members(ring, new_root, c_before, limiter.offset)
             )
 
         # Patch the parent map in place: tracked trees are live views owned
@@ -670,26 +690,18 @@ class DatUpdateEngine:
             parent.pop(delta.ident, None)
 
         # Inlined parent selection, bit-identical to select_parent_basic /
-        # select_parent_balanced. The balanced limit uses the pure-integer
-        # form g(x) = ceil_log2(max(ceil((x + c)/3), 1)), c = ceil(2*2^b/n):
-        # ceil((x + 2S/n)/3) = ceil(ceil((x*n + 2S)/n)/3) = ceil((x + c)/3)
-        # by the nested-ceiling identity, so no Fraction arithmetic is
-        # needed on the per-event hot path.
+        # select_parent_balanced; the limiter evaluates g(x) in its integer
+        # form, so no Fraction arithmetic runs on the per-event hot path.
         space = ring.space
         mask = space.max_id
         top_cap = space.bits - 1
-        balanced = self.scheme is DatScheme.BALANCED
-        c = ceil_div(2 * space.size, delta.n_after) if balanced else 0
         tables = self.maintainer.tables
         count = 0
         for node in affected:
             if node == new_root:
                 continue
             x = (new_root - node) & mask
-            if balanced:
-                top = min(ceil_log2(max((x + c + 2) // 3, 1)), top_cap)
-            else:
-                top = top_cap
+            top = top_cap if limiter is None else min(limiter(x), top_cap)
             entries = tables[node].entries
             for j in range(top, -1, -1):
                 finger = entries[j]

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Any, Callable
 
 import numpy as np
@@ -138,10 +139,10 @@ class SlabContinuousRun:
         As in :meth:`DatNodeService.start_continuous`: push period and the
         child-state expiry horizon in intervals.
     d0:
-        Mean-gap estimate for the balanced limiter; defaults to the
-        overlay's convention ``space.size / n`` (a float, deliberately —
-        the limiter's float-to-Fraction conversion is part of the
-        bit-exactness contract with the object path).
+        Mean-gap estimate for the balanced limiter; defaults to the exact
+        ``Fraction(space.size, n)``. The object path's float estimate
+        ``space.size / n`` yields the same limits (proof in
+        :mod:`repro.core.limiting`), which keeps the two bit-identical.
     """
 
     def __init__(
@@ -154,7 +155,7 @@ class SlabContinuousRun:
         scheme: str = "balanced",
         interval: float = 1.0,
         stale_after: float = 4.0,
-        d0: float | None = None,
+        d0: float | Fraction | None = None,
     ) -> None:
         if aggregate not in SLAB_AGGREGATES:
             raise AggregationError(
@@ -175,8 +176,7 @@ class SlabContinuousRun:
         self.stale_after = float(stale_after)
         self.values = np.asarray(values, dtype=np.float64)
 
-        d0_est = block.space.size / n if d0 is None else d0
-        parents = block.key_parents(self.key, scheme=scheme, d0=d0_est)
+        parents = block.key_parents(self.key, scheme=scheme, d0=d0)
         self.owner_index = block.owner_index(self.key)
         self.root = int(block.ids[self.owner_index])
         # Push rows: every node with a parent except the owner, ascending —

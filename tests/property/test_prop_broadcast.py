@@ -70,15 +70,18 @@ class TestFastbuildHypothesis:
     @settings(max_examples=40)
     @given(ring_and_initiator(), st.integers(min_value=0, max_value=2**18 - 1))
     def test_fast_equals_scalar_on_random_rings(self, args, raw_key):
-        from repro.chord.fastbuild import fast_balanced_parents, fast_basic_parents
+        from repro.chord.fastbuild import build_dat_fast
         from repro.core.builder import build_balanced_dat, build_basic_dat
 
         ring, _initiator = args
         if len(ring) < 2:
             return
         key = raw_key % ring.space.size
-        assert fast_basic_parents(ring, key) == build_basic_dat(ring, key).parent
         assert (
-            fast_balanced_parents(ring, key)
+            build_dat_fast(ring, key, scheme="basic").parent
+            == build_basic_dat(ring, key).parent
+        )
+        assert (
+            build_dat_fast(ring, key, scheme="balanced").parent
             == build_balanced_dat(ring, key).parent
         )

@@ -2,10 +2,17 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.limiting import FingerLimiter, ceil_log2_fraction, finger_limit
+from repro.core.limiting import (
+    FingerLimiter,
+    ceil_log2_fraction,
+    exact_gap,
+    finger_limit,
+    finger_limits,
+    limit_offset,
+)
 
 POSITIVE_FRACTIONS = st.fractions(
     min_value=Fraction(1, 10**6), max_value=Fraction(10**9)
@@ -68,3 +75,39 @@ class TestFingerLimiterConsistency:
     def test_for_ring_matches_manual_fraction(self, bits, n, x):
         limiter = FingerLimiter.for_ring(bits, n)
         assert limiter(x) == finger_limit(x, Fraction(1 << bits, n))
+
+
+GAPS = st.one_of(
+    st.fractions(min_value=Fraction(1, 10**6), max_value=Fraction(2**48)),
+    st.floats(min_value=1e-6, max_value=2.0**48, allow_nan=False),
+)
+
+
+class TestSingleIntegerForm:
+    @given(st.integers(min_value=0, max_value=2**48 - 1), GAPS)
+    @example(0, Fraction(1, 2))
+    @example(2**48 - 1, Fraction(2**48))
+    @example(2**48 - 1, Fraction(2**48, 2**16))  # x*n + 2*size >= 2^63
+    @example(8, 1.0)
+    @example(3 * 2**20, Fraction(1, 3))  # (x + 2*d0)/3 just above 2^20
+    def test_limiter_vector_and_definition_agree(self, x, d0):
+        limit = finger_limit(x, d0)
+        assert FingerLimiter(d0=d0)(x) == limit
+        assert finger_limits([x], d0)[0] == limit
+
+    @given(GAPS)
+    @example(Fraction(1, 3))
+    def test_offset_is_ceiling_of_twice_gap(self, d0):
+        c = limit_offset(d0)
+        assert c - 1 < 2 * exact_gap(d0) <= c
+
+    @given(
+        st.integers(min_value=8, max_value=48),
+        st.integers(min_value=1, max_value=2**22),
+    )
+    @example(48, 3)
+    @example(48, 2**22)
+    @example(48, 2**22 - 1)
+    @example(8, 2**22)
+    def test_float_gap_gives_exact_offset(self, bits, n):
+        assert limit_offset(2**bits / n) == limit_offset(Fraction(2**bits, n))

@@ -5,19 +5,22 @@ answers must match the scalar :class:`~repro.chord.fingers.FingerTable`
 machinery bit for bit. These tests assert that identity over full rings:
 finger views slot-for-slot, ``closest_preceding`` for swept keys and slot
 caps, ``key_parents`` against the scalar key-addressed rule of
-``DatNodeService.parent_toward_key``, and the vectorized balanced limits
-against the ``Fraction``-exact :class:`~repro.core.limiting.FingerLimiter`.
+``DatNodeService.parent_toward_key`` and against the root-addressed
+fastbuild tree (one kernel, two targets), and the vectorized balanced
+limits ``key_parents`` uses against the scalar
+:class:`~repro.core.limiting.FingerLimiter` the protocol objects use.
 """
 
 import numpy as np
 import pytest
 
-from repro.chord.block import ChordNodeBlock, MatrixFingerView, balanced_limits
+from repro.chord.block import ChordNodeBlock, MatrixFingerView
+from repro.chord.fastbuild import fast_tree_arrays
 from repro.chord.fingers import FingerLike, FingerTable
 from repro.chord.idgen import make_assigner
 from repro.chord.idspace import IdSpace
 from repro.chord.ring import StaticRing
-from repro.core.limiting import FingerLimiter
+from repro.core.limiting import FingerLimiter, finger_limits
 from repro.errors import IdentifierError, TreeError
 
 
@@ -95,7 +98,7 @@ class TestBalancedLimits:
         for d0 in (1.0, 2.0, 4096.0, 2.0**32 / 300):
             limiter = FingerLimiter.for_gap(d0)
             expected = np.array([limiter(int(v)) for v in x], dtype=np.int64)
-            np.testing.assert_array_equal(balanced_limits(x, d0), expected)
+            np.testing.assert_array_equal(finger_limits(x, d0), expected)
 
     def test_matches_scalar_limiter_fractional_gap(self):
         # Non-power-of-two populations give fractional d0 (q > 1).
@@ -105,19 +108,30 @@ class TestBalancedLimits:
             d0 = 2.0**20 / n
             limiter = FingerLimiter.for_gap(d0)
             expected = np.array([limiter(int(v)) for v in x], dtype=np.int64)
-            np.testing.assert_array_equal(balanced_limits(x, d0), expected)
+            np.testing.assert_array_equal(finger_limits(x, d0), expected)
 
-    def test_scalar_fallback_on_wide_values(self):
-        # Force the int64 guard to fail: huge x times a large denominator.
-        x = np.array([2**61, 2**61 + 12345], dtype=np.int64)
-        d0 = 3.0000000001  # limit_denominator gives a large q
-        limiter = FingerLimiter.for_gap(d0)
-        expected = np.array([limiter(int(v)) for v in x], dtype=np.int64)
-        np.testing.assert_array_equal(balanced_limits(x, d0), expected)
+    def test_wide_values_rejected(self):
+        # x + c + 2 >= 2^53 leaves the exact int64/float64 range; the
+        # limits are refused rather than approximated.
+        d0 = 3.0000000001
+        with pytest.raises(ValueError):
+            finger_limits(np.array([2**61, 2**61 + 12345], dtype=np.int64), d0)
+        with pytest.raises(ValueError):
+            finger_limits(np.array([2**53 - 8], dtype=np.int64), d0)
+        with pytest.raises(ValueError):
+            finger_limits(np.array([-1], dtype=np.int64), d0)
+        # The widest fast-path distance still evaluates exactly.
+        x = np.array([2**48 - 1], dtype=np.int64)
+        assert finger_limits(x, 2.0**48 / 3).tolist() == [
+            FingerLimiter.for_gap(2.0**48 / 3)(2**48 - 1)
+        ]
+
+    def test_empty_input(self):
+        assert finger_limits(np.array([], dtype=np.int64), 1.0).size == 0
 
     def test_rejects_nonpositive_gap(self):
         with pytest.raises(ValueError):
-            balanced_limits(np.array([1]), 0.0)
+            finger_limits(np.array([1]), 0.0)
 
 
 class TestChordNodeBlock:
@@ -171,6 +185,10 @@ class TestChordNodeBlock:
         keys += block.ids.tolist()[:4]  # keys landing on members
         for key in keys:
             parents = block.key_parents(key, scheme=scheme, d0=d0)
+            # The exact default gap gives the float estimate's parents.
+            np.testing.assert_array_equal(
+                block.key_parents(key, scheme=scheme), parents
+            )
             for i, ident in enumerate(block.ids.tolist()):
                 table = ring.finger_table(ident)
                 expected = scalar_parent_toward_key(table, key, scheme, d0)
@@ -181,6 +199,40 @@ class TestChordNodeBlock:
                     key,
                     ident,
                 )
+
+    @pytest.mark.parametrize("scheme", ["basic", "balanced"])
+    @pytest.mark.parametrize(
+        "n,strategy", [(2, "random"), (33, "random"), (256, "probing"), (300, "uniform")]
+    )
+    def test_key_parents_at_root_equal_fast_tree(self, n, strategy, scheme):
+        # One kernel, two targets: addressed to the root, the protocol's
+        # key-addressed rule is the analytical root-addressed tree.
+        ring = build_ring(n, seed=n + 2, strategy=strategy)
+        block = ChordNodeBlock.from_ring(ring)
+        rng = np.random.default_rng(n)
+        for key in rng.integers(0, ring.space.size, size=6).tolist():
+            tree = fast_tree_arrays(ring, key, scheme)
+            rows = np.arange(n) != tree.root_index
+            np.testing.assert_array_equal(
+                block.key_parents(tree.root, scheme=scheme)[rows],
+                tree.nodes[tree.parent_index][rows],
+            )
+
+    @pytest.mark.parametrize(
+        "scheme,differing",
+        [("basic", [2338, 18722, 26914, 31010]), ("balanced", [31010])],
+    )
+    def test_key_addressing_differs_on_pinned_ring(self, scheme, differing):
+        # A known input on which key-addressed parents (the protocol) and
+        # root-addressed parents (the fig-7/8 pipeline) disagree.
+        ring = build_ring(32, seed=1, strategy="probing")
+        block = ChordNodeBlock.from_ring(ring)
+        key = 33542
+        tree = fast_tree_arrays(ring, key, scheme)
+        rows = np.arange(len(block)) != tree.root_index
+        by_key = block.key_parents(key, scheme=scheme)
+        changed = rows & (by_key != tree.nodes[tree.parent_index])
+        assert block.ids[changed].tolist() == differing
 
     def test_key_parents_lone_ring(self):
         block = ChordNodeBlock.from_ring(StaticRing(IdSpace(8), [42]))

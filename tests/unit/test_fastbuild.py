@@ -1,13 +1,13 @@
 """Equivalence tests: vectorized fast path vs scalar reference builders."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from repro.chord.fastbuild import (
     FAST_PATH_MAX_BITS,
     build_dat_fast,
-    fast_balanced_parents,
-    fast_basic_parents,
     fast_finger_matrix,
 )
 from repro.chord.idgen import ProbingIdAssigner, RandomIdAssigner, UniformIdAssigner
@@ -38,13 +38,13 @@ class TestEquivalence:
         ring = factory(space)
         for key in (0, space.size // 3, space.max_id):
             scalar = build_basic_dat(ring, key).parent
-            assert fast_basic_parents(ring, key) == scalar, key
+            assert build_dat_fast(ring, key, scheme="basic").parent == scalar, key
 
     def test_balanced_parents_match(self, name, space, factory):
         ring = factory(space)
         for key in (0, space.size // 3, space.max_id):
             scalar = build_balanced_dat(ring, key).parent
-            assert fast_balanced_parents(ring, key) == scalar, key
+            assert build_dat_fast(ring, key, scheme="balanced").parent == scalar, key
 
     def test_build_dat_fast_trees_identical(self, name, space, factory):
         ring = factory(space)
@@ -83,48 +83,22 @@ class TestFallbacksAndLimits:
         space = IdSpace(FAST_PATH_MAX_BITS)
         ring = RandomIdAssigner().build_ring(space, 50, rng=5)
         scalar = build_balanced_dat(ring, 12345).parent
-        assert fast_balanced_parents(ring, 12345) == scalar
+        assert build_dat_fast(ring, 12345, scheme="balanced").parent == scalar
 
 
 class TestVectorizedCeilLog2:
     def test_exact_on_powers_and_neighbors(self):
-        from repro.chord.fastbuild import _vectorized_ceil_log2
+        from repro.core.limiting import finger_limits
         from repro.util.bits import ceil_log2
 
+        # With d0 = 1/2 (offset c = 1) the limit at x = 3v - 3 is exactly
+        # ceil_log2(v), so the vector kernel sees v as its ceiling argument.
         values = []
         for k in range(1, 50):
             values.extend([(1 << k) - 1, 1 << k, (1 << k) + 1])
-        arr = np.array(values, dtype=np.int64)
+        x = np.array([3 * v - 3 for v in values], dtype=np.int64)
         expected = np.array([ceil_log2(int(v)) for v in values])
-        assert np.array_equal(_vectorized_ceil_log2(arr), expected)
-
-
-class TestExactCeilQ:
-    def test_matches_ceil_div_in_vector_range(self):
-        from repro.chord.fastbuild import _exact_ceil_q
-        from repro.util.bits import ceil_div
-
-        x = np.array([0, 1, 2, 5, 1000, 2**20, 2**30], dtype=np.int64)
-        n, size = 4096, 2**32
-        expected = [ceil_div(int(v) * n + 2 * size, 3 * n) for v in x]
-        assert _exact_ceil_q(x, n, size).tolist() == expected
-
-    def test_overflow_branch_stays_exact(self):
-        from repro.chord.fastbuild import _exact_ceil_q
-        from repro.util.bits import ceil_div
-
-        # x*n + 2*size >= 2^63 forces the arbitrary-precision fallback.
-        size = 2**48
-        n = 2**16
-        x = np.array([size - 1, size - 2, size // 2], dtype=np.int64)
-        assert int(x.max()) * n + 2 * size >= 2**63
-        expected = [ceil_div(int(v) * n + 2 * size, 3 * n) for v in x]
-        assert _exact_ceil_q(x, n, size).tolist() == expected
-
-    def test_empty_input(self):
-        from repro.chord.fastbuild import _exact_ceil_q
-
-        assert _exact_ceil_q(np.array([], dtype=np.int64), 8, 256).size == 0
+        assert np.array_equal(finger_limits(x, Fraction(1, 2)), expected)
 
 
 class TestSharedMatrix:
@@ -133,12 +107,10 @@ class TestSharedMatrix:
         ring = UniformIdAssigner().build_ring(space, 64)
         matrix = fast_finger_matrix(ring)
         for key in (0, 1234, space.max_id):
-            with_shared = fast_balanced_parents(ring, key, matrix=matrix)
-            fresh = fast_balanced_parents(ring, key)
-            assert with_shared == fresh
-            with_shared = fast_basic_parents(ring, key, matrix=matrix)
-            fresh = fast_basic_parents(ring, key)
-            assert with_shared == fresh
+            for scheme in ("balanced", "basic"):
+                with_shared = build_dat_fast(ring, key, scheme, matrix=matrix)
+                fresh = build_dat_fast(ring, key, scheme)
+                assert with_shared.parent == fresh.parent
 
     def test_build_dat_fast_accepts_matrix(self):
         space = IdSpace(16)
@@ -153,7 +125,7 @@ class TestSharedMatrix:
         ring = UniformIdAssigner().build_ring(space, 32)
         bad = np.zeros((3, space.bits), dtype=np.int64)
         with pytest.raises(TreeError):
-            fast_balanced_parents(ring, 0, matrix=bad)
+            build_dat_fast(ring, 0, matrix=bad)
 
 
 class TestSpeedupSanity:
