@@ -12,7 +12,7 @@ Runs two ways:
 * under pytest (tier-2 bench suite): ``pytest benchmarks/bench_incremental_churn.py``
 * standalone for the CI smoke job::
 
-      python benchmarks/bench_incremental_churn.py --sizes 256 \\
+      python benchmarks/bench_incremental_churn.py --sizes 256,16384 \\
           --check benchmarks/incremental_churn_threshold.json \\
           --out BENCH_incremental_churn.json
 

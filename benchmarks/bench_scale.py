@@ -1,7 +1,7 @@
 """Fig-7/8 statistics at 10^5-10^6-node scale (tentpole perf benchmark).
 
-The array-native pipeline — :class:`~repro.chord.ringarray.RingArray`
-rings, one shared finger matrix, and
+The array-native pipeline — the ring's sorted id vector
+(:meth:`~repro.chord.ring.StaticRing.id_array`), one shared finger matrix, and
 :class:`~repro.chord.fastbuild.DatTreeArrays` statistics — claims fig-grade
 measurements at n in {16k, 65k, 131k, 262k} in minutes on one core. This
 benchmark measures wall-clock and peak RSS per size, asserts the results

@@ -4,8 +4,9 @@ Two complementary models are provided, mirroring the paper's prototype:
 
 * **Static analytical model** — :class:`~repro.chord.ring.StaticRing` holds a
   sorted snapshot of node identifiers and answers successor/predecessor and
-  finger queries exactly. This is what the large-scale (up to 8192-node)
-  tree-property experiments use; it corresponds to a converged overlay.
+  finger queries exactly. This is what the tree-property experiments use,
+  from the paper's 8192-node figures up to 10^6 nodes; it corresponds to a
+  converged overlay.
 
 * **Dynamic protocol model** — :class:`~repro.chord.node.ChordProtocolNode`
   implements join / leave / stabilize / fix-fingers over a pluggable
@@ -18,9 +19,9 @@ in :mod:`repro.chord.idgen` and :mod:`repro.chord.probing`.
 
 from repro.chord.idspace import IdSpace
 from repro.chord.hashing import sha1_id, LocalityPreservingHash
-from repro.chord.fingers import FingerTable
+from repro.chord.fingers import FingerTable, closest_preceding_finger
 from repro.chord.ring import StaticRing
-from repro.chord.routing import finger_route, closest_preceding_finger, RouteResult
+from repro.chord.routing import finger_route, RouteResult
 from repro.chord.idgen import (
     IdAssigner,
     RandomIdAssigner,

@@ -4,8 +4,8 @@ The object path gives every node a :class:`~repro.chord.node.ChordNode` with
 its own finger list — fine to ~10^4 nodes, prohibitive at 10^5+. In
 bulk-simulation mode the whole converged ring is represented once, here, as
 
-* the sorted identifier vector (shared with :class:`~repro.chord.ring.StaticRing`
-  / :class:`~repro.chord.ringarray.RingArray`), and
+* the sorted identifier vector (shared with
+  :meth:`~repro.chord.ring.StaticRing.id_array`), and
 * the fastbuild finger matrix (``(n, bits)`` int64 — row ``i`` is node
   ``i``'s finger table), built with two ``searchsorted`` passes.
 
@@ -125,7 +125,7 @@ class ChordNodeBlock:
             raise TreeError("protocol block requires a non-empty ring")
         return cls(
             space=ring.space,
-            ids=ring.id_index().ids,
+            ids=ring.id_array(),
             matrix=fast_finger_matrix(ring),
         )
 

@@ -78,7 +78,7 @@ def fast_finger_matrix(ring: StaticRing) -> np.ndarray:
     """
     _require_fast_capable(ring)
     space = ring.space
-    nodes = ring.id_index().ids
+    nodes = ring.id_array()
     offsets = (np.int64(1) << np.arange(space.bits, dtype=np.int64))[np.newaxis, :]
     targets = (nodes[:, np.newaxis] + offsets) & np.int64(space.max_id)
     indices = np.searchsorted(nodes, targets, side="left")
@@ -288,7 +288,7 @@ def fast_tree_arrays(
     scheme = DatScheme(scheme)
     _require_fast_capable(ring)
     space = ring.space
-    nodes = ring.id_index().ids
+    nodes = ring.id_array()
     fingers = _resolve_matrix(ring, matrix)
     n = int(nodes.size)
     root = ring.successor(key)
@@ -334,7 +334,7 @@ def fast_centralized_load_array(
     ring: StaticRing, key: int, matrix: np.ndarray | None = None
 ) -> np.ndarray:
     """Per-node loads of the centralized *routed* baseline, aligned with
-    ``ring.id_index().ids``.
+    ``ring.id_array()``.
 
     Equals :func:`repro.baselines.centralized.centralized_routed_loads`
     without tracing a single route: the greedy hop toward the root *is*

@@ -10,8 +10,8 @@ Three strategies cover everything the evaluation needs:
   (Sec. 3.5); gap ratio bounded by a constant.
 
 Every strategy returns a fully-populated :class:`StaticRing`; the probing
-strategy builds it join-by-join since each choice depends on the current
-membership.
+strategy replays its joins one by one over a sorted identifier list, since
+each choice depends on the current membership.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ from typing import Any
 import numpy as np
 
 from repro.chord.idspace import IdSpace
-from repro.chord.probing import probe_split_identifier
+from repro.chord.probing import fast_probing_ids
 from repro.chord.ring import StaticRing
-from repro.chord.ringarray import ARRAY_MAX_BITS, fast_probing_ids
 from repro.util.rng import ensure_rng
 
 __all__ = [
@@ -32,12 +31,8 @@ __all__ = [
     "RandomIdAssigner",
     "UniformIdAssigner",
     "ProbingIdAssigner",
-    "PROBING_FAST_THRESHOLD",
     "make_assigner",
 ]
-
-#: Ring size at which probing construction switches to the bisect fast path.
-PROBING_FAST_THRESHOLD = 4096
 
 
 class IdAssigner(ABC):
@@ -116,13 +111,10 @@ class ProbingIdAssigner(IdAssigner):
     """Incremental joins with identifier probing (Sec. 3.5).
 
     Each join probes ``ceil(probe_multiplier * log2(n))`` neighbors of a
-    random point and splits the largest owned interval among them.
-
-    Rings of at least :data:`PROBING_FAST_THRESHOLD` nodes are built
-    through :func:`repro.chord.ringarray.fast_probing_ids`, a bisect-based
-    replica of the join-by-join procedure that consumes the RNG
-    identically — bit-identical membership, an order of magnitude faster
-    (the property suite asserts the identity).
+    random point and splits the largest owned interval among them. The
+    joins run through :func:`repro.chord.probing.fast_probing_ids`, which
+    is bit-identical to a loop of
+    :func:`repro.chord.probing.probe_split_identifier` joins.
     """
 
     name = "probing"
@@ -137,27 +129,10 @@ class ProbingIdAssigner(IdAssigner):
     def build_ring(
         self, space: IdSpace, n_nodes: int, rng: int | np.random.Generator | None = None
     ) -> StaticRing:
-        if n_nodes < 0:
-            raise ValueError(f"n_nodes must be non-negative, got {n_nodes}")
-        if n_nodes > space.size:
-            raise ValueError(
-                f"cannot place {n_nodes} distinct nodes in a space of {space.size}"
-            )
-        generator = ensure_rng(rng)
-        if n_nodes >= PROBING_FAST_THRESHOLD:
-            ids = fast_probing_ids(
-                space, n_nodes, rng=generator, probe_multiplier=self.probe_multiplier
-            )
-            if space.bits <= ARRAY_MAX_BITS:
-                return StaticRing.from_sorted_ids(space, ids)
-            return StaticRing(space, ids)
-        ring = StaticRing(space)
-        for _ in range(n_nodes):
-            ident = probe_split_identifier(
-                ring, generator, probe_multiplier=self.probe_multiplier
-            )
-            ring.add(ident)
-        return ring
+        ids = fast_probing_ids(
+            space, n_nodes, rng=rng, probe_multiplier=self.probe_multiplier
+        )
+        return StaticRing.from_sorted_ids(space, ids)
 
 
 _ASSIGNERS: dict[str, type[IdAssigner]] = {

@@ -1,39 +1,30 @@
 """Static (converged) Chord ring model.
 
-:class:`StaticRing` is a snapshot of a stabilized Chord overlay: a sorted set
-of node identifiers plus exact successor/predecessor/finger queries answered
-with binary search. The large-scale experiments (tree properties up to
-~10^5–10^6 nodes, Fig. 7/8) run against this model, exactly as the paper's
-analysis assumes a converged overlay. The dynamic protocol in
+:class:`StaticRing` is a snapshot of a stabilized Chord overlay: a sorted
+list of node identifiers plus exact successor/predecessor/finger queries
+answered with :mod:`bisect`. The large-scale experiments (tree properties up
+to ~10^5–10^6 nodes, Fig. 7/8) run against this model, exactly as the
+paper's analysis assumes a converged overlay. The dynamic protocol in
 :mod:`repro.chord.node` converges to the same structure — an invariant the
 integration tests assert.
 
-Two storage modes back the same API:
-
-* **object mode** (small rings) — a sorted ``list[int]`` plus a membership
-  set, answered with :mod:`bisect`. This is the reference implementation;
-  the incremental maintenance engine and the protocol tests run against it.
-* **array mode** (``len(ring) >= ARRAY_BACKED_THRESHOLD`` and
-  ``bits <= 62``) — a :class:`~repro.chord.ringarray.RingArray` sorted
-  ``int64`` vector answered with ``searchsorted``, holding no per-node
-  Python objects. ``nodes`` still materializes the classic list view on
-  demand (cached), so existing callers keep working; hot paths use
-  :meth:`id_index` / :meth:`node_array` instead.
-
-Mode selection is automatic; pass ``array_backed=True/False`` to force it
-(tests exercise both modes at every size).
+The sorted ``list[int]`` is the ring's only membership state; it holds
+identifiers of any width (the tests use 128- and 160-bit spaces).
+Vectorized consumers (:mod:`repro.chord.fastbuild`, the protocol block,
+the slab path) read :meth:`StaticRing.id_array`, an ``int64`` copy derived
+from the list and cached until the next membership change.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.chord.fingers import FingerTable
 from repro.chord.idspace import IdSpace
-from repro.chord.ringarray import ARRAY_MAX_BITS, RingArray
 from repro.errors import (
     DuplicateNodeError,
     EmptyRingError,
@@ -41,10 +32,10 @@ from repro.errors import (
     UnknownNodeError,
 )
 
-__all__ = ["ARRAY_BACKED_THRESHOLD", "StaticRing"]
+__all__ = ["ID_ARRAY_MAX_BITS", "StaticRing"]
 
-#: Ring size at which a freshly constructed ring switches to array storage.
-ARRAY_BACKED_THRESHOLD = 16384
+#: Widest identifier space :meth:`StaticRing.id_array` can hold in int64.
+ID_ARRAY_MAX_BITS = 62
 
 
 class StaticRing:
@@ -56,18 +47,9 @@ class StaticRing:
         The identifier space.
     nodes:
         Initial node identifiers (need not be sorted; duplicates rejected).
-    array_backed:
-        Force the storage mode; ``None`` (default) picks array storage for
-        rings of at least :data:`ARRAY_BACKED_THRESHOLD` members in spaces
-        of at most 62 bits.
     """
 
-    def __init__(
-        self,
-        space: IdSpace,
-        nodes: Iterable[int] = (),
-        array_backed: bool | None = None,
-    ) -> None:
+    def __init__(self, space: IdSpace, nodes: Iterable[int] = ()) -> None:
         self.space = space
         seen: set[int] = set()
         for ident in nodes:
@@ -75,126 +57,50 @@ class StaticRing:
             if ident in seen:
                 raise DuplicateNodeError(f"duplicate node identifier {ident}")
             seen.add(ident)
+        self._nodes = sorted(seen)
         self._version = 0
-        self._init_storage(sorted(seen), array_backed)
+        self._ids: np.ndarray | None = None
+        self._ids_version = -1
 
     @classmethod
     def from_sorted_ids(
-        cls,
-        space: IdSpace,
-        ids: Sequence[int] | np.ndarray,
-        array_backed: bool | None = None,
+        cls, space: IdSpace, ids: Sequence[int] | np.ndarray
     ) -> "StaticRing":
         """Build a ring from already-sorted, strictly increasing identifiers.
 
-        Skips the per-element Python validation loop of the constructor —
-        the sortedness/range checks run vectorized — which is what makes
-        10^5–10^6-node ring construction cheap. Raises on unsorted or
-        duplicate input.
+        One linear order check replaces the constructor's per-element
+        validation and set, which is what makes 10^5–10^6-node ring
+        construction cheap. Raises on unsorted, duplicate or out-of-space
+        input.
         """
-        arr = np.ascontiguousarray(ids, dtype=np.int64)
-        if arr.size:
-            if int(arr[0]) < 0 or int(arr[-1]) > space.max_id:
-                raise IdentifierError(
-                    f"identifiers outside [0, 2^{space.bits})"
-                )
-            if arr.size > 1 and not bool((arr[1:] > arr[:-1]).all()):
-                raise DuplicateNodeError("ids must be sorted and strictly increasing")
-        ring = cls.__new__(cls)
-        ring.space = space
-        ring._version = 0
-        ring._init_storage_from_array(arr, array_backed)
+        nodes = ids.tolist() if isinstance(ids, np.ndarray) else list(ids)
+        if nodes:
+            space.validate(nodes[0])
+            space.validate(nodes[-1])
+        if any(a >= b for a, b in zip(nodes, islice(nodes, 1, None))):
+            raise DuplicateNodeError("ids must be sorted and strictly increasing")
+        ring = cls(space)
+        ring._nodes = nodes
         return ring
-
-    # ------------------------------------------------------------------ #
-    # Storage modes
-    # ------------------------------------------------------------------ #
-
-    def _init_storage(
-        self, sorted_nodes: list[int], array_backed: bool | None
-    ) -> None:
-        if self._pick_array_mode(len(sorted_nodes), array_backed):
-            self._arr: RingArray | None = RingArray(
-                self.space,
-                np.array(sorted_nodes, dtype=np.int64),
-                trusted=True,
-            )
-            self._nodes: list[int] | None = None
-            self._node_set: set[int] | None = None
-        else:
-            self._arr = None
-            self._nodes = sorted_nodes
-            self._node_set = set(sorted_nodes)
-        self._nodes_cache: list[int] | None = None
-        self._index_cache: RingArray | None = None
-        self._index_cache_version = -1
-
-    def _init_storage_from_array(
-        self, arr: np.ndarray, array_backed: bool | None
-    ) -> None:
-        if self._pick_array_mode(int(arr.size), array_backed):
-            self._arr = RingArray(self.space, arr, trusted=True)
-            self._nodes = None
-            self._node_set = None
-        else:
-            self._arr = None
-            self._nodes = [int(v) for v in arr]
-            self._node_set = set(self._nodes)
-        self._nodes_cache = None
-        self._index_cache = None
-        self._index_cache_version = -1
-
-    def _pick_array_mode(self, n: int, array_backed: bool | None) -> bool:
-        if array_backed is None:
-            return n >= ARRAY_BACKED_THRESHOLD and self.space.bits <= ARRAY_MAX_BITS
-        if array_backed and self.space.bits > ARRAY_MAX_BITS:
-            raise IdentifierError(
-                f"array-backed rings require bits <= {ARRAY_MAX_BITS}, "
-                f"got {self.space.bits}"
-            )
-        return array_backed
-
-    @property
-    def array_backed(self) -> bool:
-        """True when the membership lives in an int64 vector (array mode)."""
-        return self._arr is not None
 
     # ------------------------------------------------------------------ #
     # Collection protocol
     # ------------------------------------------------------------------ #
 
     def __len__(self) -> int:
-        if self._arr is not None:
-            return len(self._arr)
-        assert self._nodes is not None
         return len(self._nodes)
 
     def __iter__(self) -> Iterator[int]:
-        if self._arr is not None:
-            return iter(self.nodes)
-        assert self._nodes is not None
         return iter(self._nodes)
 
     def __contains__(self, ident: int) -> bool:
-        if self._arr is not None:
-            return self._arr.contains(ident)
-        assert self._node_set is not None
-        return ident in self._node_set
+        nodes = self._nodes
+        index = bisect_left(nodes, ident)
+        return index < len(nodes) and nodes[index] == ident
 
     @property
     def nodes(self) -> list[int]:
-        """Sorted node identifiers (copy-safe view; do not mutate).
-
-        In array mode the list is materialized from the identifier vector
-        on first access and cached until the next membership change; large-
-        scale callers should prefer :meth:`node_array` / :meth:`id_index`,
-        which stay array-native.
-        """
-        if self._arr is not None:
-            if self._nodes_cache is None:
-                self._nodes_cache = self._arr.ids.tolist()
-            return self._nodes_cache
-        assert self._nodes is not None
+        """Sorted node identifiers (the ring's own list; do not mutate)."""
         return self._nodes
 
     @property
@@ -207,87 +113,53 @@ class StaticRing:
         """
         return self._version
 
-    def node_array(self) -> np.ndarray:
-        """Sorted node identifiers as a NumPy array (uint64 when it fits)."""
-        if self._arr is not None:
-            return self._arr.ids.astype(np.uint64)
-        if self.space.bits <= 63:
-            return np.asarray(self.nodes, dtype=np.uint64)
-        return np.asarray(self.nodes, dtype=object)
+    def id_array(self) -> np.ndarray:
+        """Sorted node identifiers as an ``int64`` vector (``bits <= 62``).
 
-    def id_index(self) -> RingArray:
-        """Array-backed view of the membership (``bits <= 62`` only).
-
-        Array-mode rings return their storage directly; object-mode rings
-        build the vector once and cache it until the next membership
-        change. This is the one sorted-id vector every vectorized consumer
-        (:mod:`repro.chord.fastbuild`, the incremental engine's rebuilds,
-        the scale pipeline) shares.
+        Built from the node list on first use and cached until the next
+        membership change. This is the one sorted-id vector every
+        vectorized consumer (:mod:`repro.chord.fastbuild`, the protocol
+        block, the slab path) shares; treat it as read-only.
         """
-        if self._arr is not None:
-            return self._arr
-        if self.space.bits > ARRAY_MAX_BITS:
+        if self.space.bits > ID_ARRAY_MAX_BITS:
             raise IdentifierError(
-                f"id_index requires bits <= {ARRAY_MAX_BITS}, got {self.space.bits}"
+                f"id_array requires bits <= {ID_ARRAY_MAX_BITS}, got {self.space.bits}"
             )
-        if self._index_cache is None or self._index_cache_version != self._version:
-            self._index_cache = RingArray(
-                self.space,
-                np.array(self.nodes, dtype=np.int64),
-                trusted=True,
-            )
-            self._index_cache_version = self._version
-        return self._index_cache
+        if self._ids is None or self._ids_version != self._version:
+            self._ids = np.array(self._nodes, dtype=np.int64)
+            self._ids_version = self._version
+        return self._ids
 
     # ------------------------------------------------------------------ #
     # Membership changes
     # ------------------------------------------------------------------ #
 
-    def _bump_version(self) -> None:
-        self._version += 1
-        self._nodes_cache = None
-
     def add(self, ident: int) -> None:
         """Insert a node (O(n) shift; rings are built once, queried often)."""
-        if self._arr is not None:
-            self._arr.insert(ident)  # validates + rejects duplicates
-        else:
-            self.space.validate(ident)
-            assert self._nodes is not None and self._node_set is not None
-            if ident in self._node_set:
-                raise DuplicateNodeError(f"duplicate node identifier {ident}")
-            insort(self._nodes, ident)
-            self._node_set.add(ident)
-        self._bump_version()
+        self.space.validate(ident)
+        index = bisect_left(self._nodes, ident)
+        if index < len(self._nodes) and self._nodes[index] == ident:
+            raise DuplicateNodeError(f"duplicate node identifier {ident}")
+        self._nodes.insert(index, ident)
+        self._version += 1
 
     def remove(self, ident: int) -> None:
         """Remove a node."""
-        if self._arr is not None:
-            self._arr.delete(ident)  # raises UnknownNodeError when absent
-        else:
-            assert self._nodes is not None and self._node_set is not None
-            if ident not in self._node_set:
-                raise UnknownNodeError(ident)
-            index = bisect_left(self._nodes, ident)
-            del self._nodes[index]
-            self._node_set.remove(ident)
-        self._bump_version()
+        del self._nodes[self.index_of(ident)]
+        self._version += 1
 
     # ------------------------------------------------------------------ #
     # Consistent-hashing queries
     # ------------------------------------------------------------------ #
 
     def _require_nodes(self) -> None:
-        if not len(self):
+        if not self._nodes:
             raise EmptyRingError("operation requires a non-empty ring")
 
     def successor(self, key: int) -> int:
         """First node whose identifier equals or follows ``key`` clockwise."""
-        if self._arr is not None:
-            return self._arr.successor(key)
         self._require_nodes()
         self.space.validate(key)
-        assert self._nodes is not None
         index = bisect_left(self._nodes, key)
         if index == len(self._nodes):
             return self._nodes[0]
@@ -295,44 +167,26 @@ class StaticRing:
 
     def predecessor(self, key: int) -> int:
         """Last node whose identifier strictly precedes ``key`` clockwise."""
-        if self._arr is not None:
-            return self._arr.predecessor(key)
         self._require_nodes()
         self.space.validate(key)
-        assert self._nodes is not None
-        index = bisect_left(self._nodes, key)
-        if index == 0:
-            return self._nodes[-1]
-        return self._nodes[index - 1]
+        return self._nodes[bisect_left(self._nodes, key) - 1]  # -1 wraps
 
     def successor_of_node(self, ident: int) -> int:
         """The node immediately following node ``ident`` on the ring."""
-        if self._arr is not None:
-            return self._arr.successor_of_index(self._arr.index_of(ident))
-        if ident not in self:
-            raise UnknownNodeError(ident)
-        assert self._nodes is not None
-        index = bisect_right(self._nodes, ident)
+        index = self.index_of(ident) + 1
         return self._nodes[index % len(self._nodes)]
 
     def predecessor_of_node(self, ident: int) -> int:
         """The node immediately preceding node ``ident`` on the ring."""
-        if self._arr is not None:
-            return self._arr.predecessor_of_index(self._arr.index_of(ident))
-        if ident not in self:
-            raise UnknownNodeError(ident)
-        assert self._nodes is not None
-        index = bisect_left(self._nodes, ident)
-        return self._nodes[index - 1]  # index-1 == -1 wraps correctly
+        return self._nodes[self.index_of(ident) - 1]  # index-1 == -1 wraps
 
     def index_of(self, ident: int) -> int:
         """Position of member ``ident`` in the sorted node list."""
-        if self._arr is not None:
-            return self._arr.index_of(ident)
-        if ident not in self:
+        nodes = self._nodes
+        index = bisect_left(nodes, ident)
+        if index == len(nodes) or nodes[index] != ident:
             raise UnknownNodeError(ident)
-        assert self._nodes is not None
-        return bisect_left(self._nodes, ident)
+        return index
 
     def nodes_in_interval(self, lo: int, hi: int) -> list[int]:
         """Members in the clockwise *closed* interval ``[lo, hi]``.
@@ -343,47 +197,37 @@ class StaticRing:
         engine to enumerate the nodes whose finger-limit ``g(x)`` value
         shifted after a membership change.
         """
-        if self._arr is not None:
-            return self._arr.slice_closed(lo, hi).tolist()
         self.space.validate(lo)
         self.space.validate(hi)
-        assert self._nodes is not None
-        if not self._nodes:
-            return []
+        nodes = self._nodes
         if lo <= hi:
-            return self._nodes[bisect_left(self._nodes, lo) : bisect_right(self._nodes, hi)]
-        return (
-            self._nodes[bisect_left(self._nodes, lo) :]
-            + self._nodes[: bisect_right(self._nodes, hi)]
-        )
+            return nodes[bisect_left(nodes, lo) : bisect_right(nodes, hi)]
+        return nodes[bisect_left(nodes, lo) :] + nodes[: bisect_right(nodes, hi)]
 
     def gap_before(self, ident: int) -> int:
         """Clockwise distance from ``ident``'s predecessor to ``ident``.
 
         This is the slice of the identifier space owned by ``ident`` under
         consistent hashing; identifier probing (Sec. 3.5) splits the largest
-        such gap.
+        such gap. A sole member owns the whole space.
         """
-        if len(self) == 1:
+        if len(self._nodes) == 1:
             if ident not in self:
                 raise UnknownNodeError(ident)
             return self.space.size
         return self.space.cw(self.predecessor_of_node(ident), ident)
 
+    def _gap_list(self) -> list[int]:
+        """Owned-interval lengths aligned with the sorted node order."""
+        nodes = self._nodes
+        if not nodes:
+            return []
+        wrap = nodes[0] + self.space.size - nodes[-1]
+        return [wrap] + [b - a for a, b in zip(nodes, islice(nodes, 1, None))]
+
     def gaps(self) -> dict[int, int]:
         """Owned-interval length for every node."""
-        if self._arr is not None:
-            return dict(zip(self.nodes, self._arr.gaps().tolist()))
-        return {ident: self.gap_before(ident) for ident in self.nodes}
-
-    def gaps_array(self) -> np.ndarray:
-        """Owned-interval lengths aligned with the sorted node order.
-
-        Array-native view of :meth:`gaps` for the large-scale path (no
-        per-node Python objects).
-        """
-        self._require_nodes()
-        return self.id_index().gaps()
+        return dict(zip(self._nodes, self._gap_list()))
 
     def mean_gap(self) -> float:
         """Average inter-node distance ``d0 = 2^b / n``."""
@@ -396,10 +240,8 @@ class StaticRing:
         Random identifiers give a ratio of ``O(log n)``; identifier probing
         bounds it by a constant (Adler et al., referenced in Sec. 3.5).
         """
-        if self._arr is not None or self.space.bits <= ARRAY_MAX_BITS:
-            gaps_arr = self.gaps_array()
-            return int(gaps_arr.max()) / int(gaps_arr.min())
-        gaps = list(self.gaps().values())
+        self._require_nodes()
+        gaps = self._gap_list()
         return max(gaps) / min(gaps)
 
     # ------------------------------------------------------------------ #
@@ -426,5 +268,4 @@ class StaticRing:
         return {ident: self.finger_table(ident) for ident in self.nodes}
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        mode = "array" if self._arr is not None else "object"
-        return f"StaticRing(bits={self.space.bits}, n={len(self)}, {mode})"
+        return f"StaticRing(bits={self.space.bits}, n={len(self)})"

@@ -448,7 +448,7 @@ def run_protocol_oracle(
     """
     transport = transport if transport is not None else SimTransport()
     space = ring.space
-    ids = ring.id_index().ids
+    ids = ring.id_array()
     n = len(ids)
     if values is None:
         values = np.ones(n, dtype=np.float64)

@@ -4,8 +4,8 @@ The paper's scalability claims (Sec. 3, Figs. 7-8) are asymptotic; the
 figure sweeps top out at 8192 nodes. This module measures the same
 statistics — max/average branching, height, per-scheme load imbalance —
 one to two orders of magnitude further, entirely on the array-native
-pipeline: array-backed rings (:class:`~repro.chord.ringarray.RingArray`),
-one shared finger matrix, and :class:`~repro.chord.fastbuild.DatTreeArrays`
+pipeline: the ring's sorted ``int64`` id vector
+(:meth:`~repro.chord.ring.StaticRing.id_array`), one shared finger matrix, and :class:`~repro.chord.fastbuild.DatTreeArrays`
 statistics that never materialize per-node Python objects.
 
 Every point can also be measured with ``oracle=True``, which runs the

@@ -5,6 +5,7 @@ import pytest
 from repro.chord.idspace import IdSpace
 from repro.chord.probing import (
     default_probe_count,
+    fast_probing_ids,
     probe_neighbors,
     probe_split_identifier,
 )
@@ -73,3 +74,25 @@ class TestProbeSplitIdentifier:
         for _ in range(512):
             ring.add(probe_split_identifier(ring, rng=rng))
         assert ring.gap_ratio() <= 8.0
+
+
+class TestFastProbingIds:
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError):
+            fast_probing_ids(IdSpace(8), -1)
+
+    def test_rejects_overfull(self):
+        with pytest.raises(ValueError):
+            fast_probing_ids(IdSpace(3), 9)
+
+    def test_sorted_unique_within_space(self):
+        ids = fast_probing_ids(IdSpace(20), 500, rng=3)
+        assert ids == sorted(set(ids))
+        assert 0 <= ids[0] and ids[-1] < 2**20
+
+    def test_deterministic_per_seed(self):
+        a = fast_probing_ids(IdSpace(24), 200, rng=9)
+        b = fast_probing_ids(IdSpace(24), 200, rng=9)
+        c = fast_probing_ids(IdSpace(24), 200, rng=10)
+        assert a == b
+        assert a != c
