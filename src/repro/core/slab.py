@@ -22,7 +22,9 @@ accounting, and push counts, for the loss-free case with any supported
 aggregate and for lossy runs with order-insensitive aggregates
 (``count``/``min``/``max``; under loss the object path's child-dict
 *insertion order* depends on which pushes survived, so float-sum fold
-order is not reproducible by any fixed-order kernel). Asserted in
+order is not reproducible by any fixed-order kernel — nor is the sign of
+a zero minimum or maximum, since ``min(0.0, -0.0)`` returns whichever
+operand comes first). Asserted in
 ``tests/property/test_prop_protocol.py`` at n <= 4096 for both schemes.
 
 Supported aggregates: ``sum``, ``count``, ``min``, ``max``, ``avg``.
@@ -103,17 +105,7 @@ def _per_node_traffic(
     transport: SimTransport, ids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-node (sent, received, bytes_sent, bytes_received) arrays."""
-    n = len(ids)
-    sent = np.zeros(n, dtype=np.int64)
-    received = np.zeros(n, dtype=np.int64)
-    bytes_sent = np.zeros(n, dtype=np.int64)
-    bytes_received = np.zeros(n, dtype=np.int64)
-    for i, ident in enumerate(ids.tolist()):
-        load = transport.stats.load(ident)
-        sent[i] = load.sent
-        received[i] = load.received
-        bytes_sent[i] = load.bytes_sent
-        bytes_received[i] = load.bytes_received
+    sent, received, bytes_sent, bytes_received = transport.stats.load_arrays(ids)
     return sent, received, bytes_sent, bytes_received
 
 
@@ -220,6 +212,15 @@ class SlabContinuousRun:
         )
         self._src_digits = int_digit_counts(block.ids[self.push_rows])
         self._dst_digits = int_digit_counts(self.parent_ids)
+        # Wire-length memo of the float state column: per push row, the
+        # float64 bit pattern it pushed last and that numeral's length,
+        # starting from the state 0.0. Once a tree converges its states
+        # repeat every round, so only rows whose bits changed are re-sized.
+        # Bits, not values: -0.0 == 0.0 with reprs of different lengths,
+        # and NaN never equals itself.
+        n_push = len(self.push_rows) if aggregate != "count" else 0
+        self._pushed_bits = np.zeros(n_push, dtype=np.int64)
+        self._pushed_lengths = np.full(n_push, len(repr(0.0)), dtype=np.int64)
 
         self._cancel: Callable[[], None] | None = None
 
@@ -245,14 +246,8 @@ class SlabContinuousRun:
             merged = self.values.copy()
             np.add.at(merged, parent, self.cache[0][child])
             return [merged]
-        if self.aggregate == "min":
-            merged = self.values.copy()
-            np.minimum.at(merged, parent, self.cache[0][child])
-            return [merged]
-        if self.aggregate == "max":
-            merged = self.values.copy()
-            np.maximum.at(merged, parent, self.cache[0][child])
-            return [merged]
+        if self.aggregate in ("min", "max"):
+            return [self._extremum(parent, self.cache[0][child])]
         # avg: (sum, count) componentwise
         totals = self.values.copy()
         counts = np.ones(len(self.block), dtype=np.int64)
@@ -260,17 +255,55 @@ class SlabContinuousRun:
         np.add.at(counts, parent, self.cache[1][child])
         return [totals, counts]
 
+    def _extremum(self, parent: np.ndarray, states: np.ndarray) -> np.ndarray:
+        """The object path's ``min``/``max`` fold: local value first, then
+        child ``states`` in ascending-child order, per parent.
+
+        Python's ``min(acc, x)`` keeps ``acc`` unless ``x < acc``: a NaN
+        child is never taken, and among equal values the earliest wins,
+        which shows only in the sign of a zero (``min(0.0, -0.0)`` is
+        ``0.0``). NumPy's ``minimum`` propagates NaN and its tie order is
+        unspecified, so NaN children are masked and zero signs re-picked.
+        """
+        lowest = self.aggregate == "min"
+        fold = np.minimum if lowest else np.maximum
+        states = np.where(np.isnan(states), np.inf if lowest else -np.inf, states)
+        merged = self.values.copy()
+        with np.errstate(invalid="ignore"):  # a NaN local value stays NaN
+            fold.at(merged, parent, states)
+        # Exact zero tests: +-0.0 are the only equal values with distinct bits.
+        zero = merged == 0.0  # datlint: disable=DAT003
+        if zero.any():
+            # The local value if it is a zero, else the first zero child.
+            local_zero = zero & (self.values == 0.0)  # datlint: disable=DAT003
+            merged[local_zero] = self.values[local_zero]
+            edges = np.flatnonzero(states == 0.0)  # datlint: disable=DAT003
+            parents, first = np.unique(parent[edges], return_index=True)
+            pick = zero[parents] & ~local_zero[parents]
+            merged[parents[pick]] = states[edges[first[pick]]]
+        return merged
+
+    def _float_lengths(self, states: np.ndarray) -> np.ndarray:
+        """Numeral length of each push row's float state (memoized)."""
+        bits = states.view(np.int64)
+        changed = np.flatnonzero(bits != self._pushed_bits)
+        if len(changed):
+            self._pushed_bits[changed] = bits[changed]
+            self._pushed_lengths[changed] = float_repr_lengths(states[changed])
+        return self._pushed_lengths
+
     def _state_lengths(self, cols: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
-        """JSON byte length of each pushed state body."""
+        """JSON byte length of each pushed state body (``rows`` is
+        :attr:`push_rows`, which the float-length memo is aligned with)."""
         if self.aggregate == "count":
             return int_digit_counts(cols[0][rows])
         if self.aggregate == "avg":
             return (
                 self._tuple_overhead
-                + float_repr_lengths(cols[0][rows])
+                + self._float_lengths(cols[0][rows])
                 + int_digit_counts(cols[1][rows])
             )
-        return float_repr_lengths(cols[0][rows])
+        return self._float_lengths(cols[0][rows])
 
     def _finalize(self, cols: list[np.ndarray], i: int) -> Any:
         if self.aggregate == "count":
@@ -365,6 +398,8 @@ class SlabContinuousRun:
             + self.parent_index.nbytes
             + self._src_digits.nbytes
             + self._dst_digits.nbytes
+            + self._pushed_bits.nbytes
+            + self._pushed_lengths.nbytes
             + sum(col.nbytes for col in self.cache)
         )
         if self._lift is not None:

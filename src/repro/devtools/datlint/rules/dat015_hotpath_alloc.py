@@ -12,11 +12,15 @@ passes every exactness test, just 50x slower at 10^5 nodes.
 This rule guards the functions that *are* the batched hot path
 (``_HOT_FUNCTIONS`` below): inside their ``for``/``while`` loops and
 comprehensions, allocating a dict (literal, comprehension, or ``dict()``
-call) or constructing a scalar ``Message`` is flagged. Allocation outside
-a loop is per-*batch* and fine; deferred bodies (``lambda``, nested
-``def``) are skipped because they only run on the explicit slow
-path — :meth:`MessageBatch.message` materialization — not per element of
-the batched round. Scalar modules (``Transport.send`` and friends) are
+call) or constructing a scalar ``Message`` is flagged. So is a ``for``
+loop or comprehension that iterates over a ``.tolist()`` call (directly
+or through ``zip``/``enumerate``): that unboxes a batch column into one
+Python object per element and walks it at interpreter speed, which is the
+shape of the per-node dict-update loops the dense load accountant
+replaced. Allocation outside a loop is per-*batch* and fine; deferred
+bodies (``lambda``, nested ``def``) are skipped because they only run on
+the explicit slow path — :meth:`MessageBatch.message` materialization —
+not per element of the batched round. Scalar modules (``Transport.send`` and friends) are
 legitimately per-message and are not listed.
 """
 
@@ -39,12 +43,14 @@ _HOT_FUNCTIONS: dict[str, frozenset[str]] = {
         {
             "_merged_columns",
             "_state_lengths",
+            "_float_lengths",
             "push_round",
             "_on_deliver",
+            "_per_node_traffic",
         }
     ),
     "repro.telemetry.hotspot": frozenset(
-        {"record_send_bulk", "record_receive_bulk"}
+        {"record_send_bulk", "record_receive_bulk", "_add_bulk_locked", "load_arrays"}
     ),
 }
 
@@ -63,8 +69,21 @@ _LOOP_NODES = (
 _DEFERRED_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
+def _tolist_call(node: ast.AST) -> ast.Call | None:
+    """The first ``<expr>.tolist()`` call inside an iterable expression."""
+    for sub in ast.walk(node):
+        if (
+            isinstance(sub, ast.Call)
+            and isinstance(sub.func, ast.Attribute)
+            and sub.func.attr == "tolist"
+        ):
+            return sub
+    return None
+
+
 class _LoopAllocFinder(ast.NodeVisitor):
-    """Collect dict/Message allocations at loop depth >= 1."""
+    """Collect dict/Message allocations at loop depth >= 1, and loops that
+    iterate over a ``.tolist()`` call."""
 
     def __init__(self) -> None:
         self.depth = 0
@@ -73,19 +92,23 @@ class _LoopAllocFinder(ast.NodeVisitor):
     def visit(self, node: ast.AST) -> None:
         if isinstance(node, _DEFERRED_NODES):
             return  # deferred body: runs on the slow path, not in the loop
+        if isinstance(node, (ast.For, ast.comprehension)):
+            unboxed = _tolist_call(node.iter)
+            if unboxed is not None:
+                self.hits.append((unboxed, "loop over `.tolist()`"))
         # The allocation check runs at the *enclosing* depth: a dict
         # comprehension outside any loop allocates once per batch (fine);
         # the same comprehension inside a loop allocates per element.
         if self.depth > 0:
             if isinstance(node, ast.Dict):
-                self.hits.append((node, "dict literal"))
+                self.hits.append((node, "dict literal inside a loop"))
             elif isinstance(node, ast.DictComp):
-                self.hits.append((node, "dict comprehension"))
+                self.hits.append((node, "dict comprehension inside a loop"))
             elif isinstance(node, ast.Call):
                 dotted = call_dotted(node)
                 name = dotted.rsplit(".", 1)[-1] if dotted else ""
                 if name in _ALLOC_CALLS:
-                    self.hits.append((node, f"`{name}(...)` call"))
+                    self.hits.append((node, f"`{name}(...)` call inside a loop"))
         entered = isinstance(node, _LOOP_NODES)
         if entered:
             self.depth += 1
@@ -122,7 +145,7 @@ class HotPathAllocRule(Rule):
                 yield self.diagnostic(
                     ctx,
                     alloc_node,
-                    f"{what} inside a loop of batched hot-path function "
-                    f"`{node.name}`; hoist it out of the loop or express it "
-                    "as a vectorized column over the whole batch",
+                    f"{what} in batched hot-path function `{node.name}`; "
+                    "hoist it out of the loop or express it as a vectorized "
+                    "column over the whole batch",
                 )

@@ -7,10 +7,13 @@ path reproduces the per-node service oracle bit for bit). Bounded (small
 rings, few examples) because each case runs a discrete-event simulation.
 """
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chord.fastbuild import fast_tree_arrays
 from repro.chord.idgen import make_assigner
 from repro.chord.idspace import IdSpace
 from repro.chord.network import ChordNetwork
@@ -95,8 +98,26 @@ class TestConvergenceProperties:
 # --------------------------------------------------------------------- #
 
 
+#: Readings whose JSON numerals are easy to mis-size: signed zero (``-0.0``
+#: equals ``0.0`` but is one byte longer), exponent forms, the longest
+#: 17-digit mantissas and subnormals.
+SPECIAL_READINGS = (
+    -0.0,
+    0.0,
+    1e16,
+    9999999999999998.0,
+    1.2345678901234567e300,
+    5e-324,
+    2.2250738585072e-310,
+)
+
+#: Infinities are sized as ``Infinity``/``-Infinity``; drawn for min/max
+#: only (a sum of opposite infinities is NaN, which equals nothing).
+INFINITE_READINGS = (math.inf, -math.inf)
+
+
 @st.composite
-def slab_scenarios(draw):
+def slab_scenarios(draw, edge_readings=False):
     bits = draw(st.sampled_from([12, 16, 32]))
     space = IdSpace(bits)
     n = draw(st.integers(min_value=2, max_value=64))
@@ -106,7 +127,15 @@ def slab_scenarios(draw):
     key = draw(st.integers(min_value=0, max_value=space.max_id))
     scheme = draw(st.sampled_from(["basic", "balanced"]))
     aggregate = draw(st.sampled_from(SLAB_AGGREGATES))
-    values = np.random.default_rng(seed).uniform(-100.0, 100.0, size=n)
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-100.0, 100.0, size=n)
+    if edge_readings:
+        # Replace a drawn share of the readings with edge-case numerals.
+        pool = SPECIAL_READINGS + (
+            INFINITE_READINGS if aggregate in ("min", "max") else ()
+        )
+        special = rng.random(n) < draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+        values[special] = rng.choice(pool, size=int(special.sum()))
     return ring, key, scheme, aggregate, values
 
 
@@ -140,18 +169,25 @@ def _assert_identical(slab, oracle):
 class TestSlabOracleEquivalence:
     """run_protocol_slab reproduces run_protocol_oracle exactly.
 
-    Loss-free: all five aggregates, both schemes, random values (float
-    merge order matters and must match). Lossy: order-insensitive
-    aggregates only (count/min/max) — the oracle's child-dict insertion
-    order depends on which pushes survive, which no fixed-order kernel
-    can reproduce for float sums.
+    Loss-free: all five aggregates, both schemes, random values mixed
+    with edge-case readings (float merge order matters and must match).
+    Lossy: order-insensitive aggregates only (count/min/max) — the
+    oracle's child-dict insertion order depends on which pushes survive,
+    which no fixed-order kernel can reproduce for float sums. Lossy runs
+    draw no signed zeros: ``min(0.0, -0.0)`` depends on operand order.
     """
 
     @settings(max_examples=20, deadline=None)
-    @given(slab_scenarios())
+    @given(slab_scenarios(edge_readings=True))
     def test_loss_free_bit_identical(self, scenario):
+        # Run past the tree height: once the tree converges every push
+        # repeats last round's state, so the slab path's wire-size memo
+        # is reused for several rounds, not only filled.
         ring, key, scheme, aggregate, values = scenario
-        slab, oracle = _run_both(ring, key, scheme, aggregate, values)
+        height = fast_tree_arrays(ring, key, scheme=scheme).stats().height
+        slab, oracle = _run_both(
+            ring, key, scheme, aggregate, values, rounds=height + 4
+        )
         _assert_identical(slab, oracle)
 
     @settings(max_examples=10, deadline=None)

@@ -532,6 +532,52 @@ def test_dat015_ignores_deferred_bodies(tmp_path):
     assert diagnostics == []
 
 
+def test_dat015_flags_loops_over_tolist_in_hot_functions(tmp_path):
+    # The per-node readout and dict-update loops the dense accountant
+    # replaced: each unboxes a batch column and walks it in Python.
+    source = (
+        "def _per_node_traffic(transport, ids):\n"
+        "    for i, ident in enumerate(ids.tolist()):\n"
+        "        sent[i] = transport.stats.load(ident).sent\n"
+        "    return [len(repr(v)) for v in ids.tolist()]\n"
+    )
+    diagnostics, _ = lint_snippet(tmp_path, source, relpath="repro/core/slab.py")
+    assert [d.rule for d in diagnostics] == ["DAT015", "DAT015"]
+    assert all("`.tolist()`" in d.message for d in diagnostics)
+    bulk = (
+        "def record_send_bulk(self, nodes, sizes, kind=None):\n"
+        "    unique, counts = np.unique(nodes, return_counts=True)\n"
+        "    for node, sent in zip(unique.tolist(), counts.tolist()):\n"
+        "        self._sent[node] += sent\n"
+    )
+    diagnostics, _ = lint_snippet(
+        tmp_path, bulk, relpath="repro/telemetry/hotspot.py"
+    )
+    assert [d.rule for d in diagnostics] == ["DAT015"]
+
+
+def test_dat015_allows_tolist_outside_loops_and_in_cold_code(tmp_path):
+    # One unboxing per batch (no Python loop over it) is fine, as is a
+    # loop over something other than ``.tolist()``.
+    source = (
+        "def _per_node_traffic(transport, ids):\n"
+        "    rows = transport.stats.load_arrays(ids)\n"
+        "    for row in rows:\n"
+        "        row.sum()\n"
+        "    return rows.tolist()\n"
+    )
+    diagnostics, _ = lint_snippet(tmp_path, source, relpath="repro/core/slab.py")
+    assert diagnostics == []
+    # The same loop outside the hot set is a scalar path's business.
+    cold = (
+        "def run_protocol_oracle(ring, ids, hosts):\n"
+        "    for i, ident in enumerate(ids.tolist()):\n"
+        "        hosts.append((i, ident))\n"
+    )
+    diagnostics, _ = lint_snippet(tmp_path, cold, relpath="repro/core/slab.py")
+    assert diagnostics == []
+
+
 # --------------------------------------------------------------------- #
 # Suppression comments
 # --------------------------------------------------------------------- #

@@ -1,9 +1,19 @@
 """Unit tests for wire messages."""
 
+import json
+import math
+import sys
+
+import numpy as np
 import pytest
 
 from repro.errors import TransportError
-from repro.sim.messages import Message, decode_message, encode_message
+from repro.sim.messages import (
+    Message,
+    decode_message,
+    encode_message,
+    float_repr_lengths,
+)
 
 
 class TestMessage:
@@ -62,3 +72,28 @@ class TestWireCoding:
             decode_message(b"not json")
         with pytest.raises(TransportError):
             decode_message(b'{"kind": "x"}')  # missing fields
+
+
+class TestFloatReprLengths:
+    """Batch sizing must match what ``json.dumps`` puts on the wire."""
+
+    EDGE_VALUES = [
+        math.inf,
+        -math.inf,
+        math.nan,
+        0.0,
+        -0.0,
+        1e16,
+        9999999999999998.0,
+        5e-324,
+        sys.float_info.max,
+        -sys.float_info.max,
+        1.0,
+        -123.456,
+    ]
+
+    def test_equals_json_numeral_length(self):
+        # json.dumps writes Infinity/-Infinity where repr writes inf/-inf.
+        lengths = float_repr_lengths(np.array(self.EDGE_VALUES))
+        assert lengths.dtype == np.int64
+        assert lengths.tolist() == [len(json.dumps(float(v))) for v in self.EDGE_VALUES]

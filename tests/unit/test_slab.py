@@ -11,11 +11,13 @@ tuple-state overhead). Full slab-vs-oracle protocol equivalence lives in
 ``tests/property/test_prop_protocol.py``.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.chord.block import ChordNodeBlock
-from repro.chord.idgen import make_assigner
+from repro.chord.idgen import ProbingIdAssigner, make_assigner
 from repro.chord.idspace import IdSpace
 from repro.core.slab import (
     SLAB_AGGREGATES,
@@ -137,3 +139,27 @@ class TestRunResults:
         assert slab.pushes_total == oracle.pushes_total
         np.testing.assert_array_equal(slab.sent, oracle.sent)
         np.testing.assert_array_equal(slab.bytes_sent, oracle.bytes_sent)
+
+    @pytest.mark.parametrize("aggregate", ["min", "max"])
+    @pytest.mark.parametrize(
+        "readings",
+        [(math.inf, -math.inf), (0.0, -0.0), (-0.0, 0.0), (math.nan, -0.0)],
+        ids=["infinities", "zero-then-negative-zero", "negative-zero-then-zero", "nan"],
+    )
+    def test_edge_readings_match_oracle(self, aggregate, readings):
+        # Infinities: json.dumps writes Infinity (8 B) where repr writes
+        # inf (3 B). Signed zeros and NaN: the object path's min/max keep
+        # the earlier operand on ties and never take a NaN child, which
+        # np.minimum/np.maximum do not reproduce on their own.
+        ring = ProbingIdAssigner().build_ring(IdSpace(16), 64, rng=3)
+        values = np.ones(64, dtype=np.float64)
+        values[::3] = readings[0]
+        values[1::3] = readings[1]
+        reset_msg_ids()
+        slab = run_protocol_slab(ring, 77, 8, aggregate=aggregate, values=values)
+        reset_msg_ids()
+        oracle = run_protocol_oracle(ring, 77, 8, aggregate=aggregate, values=values)
+        assert repr(slab.estimate) == repr(oracle.estimate)
+        assert slab.bytes_total == oracle.bytes_total
+        np.testing.assert_array_equal(slab.bytes_sent, oracle.bytes_sent)
+        np.testing.assert_array_equal(slab.bytes_received, oracle.bytes_received)
